@@ -85,8 +85,10 @@ type Config struct {
 	Lazy bool
 	// NoPlanCache disables the inspect-once/execute-many execution-plan
 	// cache: every chain execution re-runs ca.Inspect and rebuilds its
-	// pack/unpack schedules from the halo layouts. An ablation and
-	// debugging knob — cached and uncached execution are bit-identical.
+	// pack/unpack schedules from the halo layouts, and per-loop exchanges
+	// walk the layouts instead of replaying memoised schedules. An
+	// ablation and debugging knob — cached and uncached execution are
+	// bit-identical.
 	NoPlanCache bool
 	// Faults, when non-nil, injects deterministic message faults (drops,
 	// corruption, delays, stragglers) into every exchange. Lost and
@@ -161,6 +163,10 @@ type Backend struct {
 	planHits          int64
 	planMisses        int64
 	planInvalidations int64
+	// stdSchedules memoises the per-loop exchange schedules per filtered
+	// spec set (see stdExchange); it is bounded and outside the
+	// plan-cache stats.
+	stdSchedules map[string]*exchangeSchedule
 
 	// Fault-recovery state: the per-message retransmission budget and the
 	// timeout/backoff charges, resolved from Config at construction, and
@@ -219,14 +225,13 @@ type Backend struct {
 }
 
 // workerScratch is the per-worker reusable state of runLoopOnRank: the
-// kernel view table and per-argument data/map slices. Each executor owns
+// compiled argument-op table and the kernel view table. Each executor owns
 // one instance (no sharing, no clearing — every entry read is written
 // first by the same call), padded to keep concurrent workers off each
 // other's cache lines.
 type workerScratch struct {
+	ops   []argOp
 	views [][]float64
-	data  [][]float64
-	maps  [][]int32
 	_pad  [8]uint64
 }
 
@@ -253,6 +258,10 @@ type execScratch struct {
 	stdExchanging bool
 	stdSendBytes  []int64
 	stdGbl        [][][]float64
+	// Global-reduction scratch (prepareGlobals): per-rank argument rows
+	// slicing one per-rank value array.
+	gbl     [][][]float64
+	gblVals [][]float64
 
 	// runChainImpl per-rank × per-loop matrices and fork parameters.
 	chainCores    [][]int
@@ -286,7 +295,9 @@ type execScratch struct {
 	arrivals []float64
 	busy     []float64
 
-	// filterNeeds output, aliased by the execution that requested it.
+	// standardNeeds and filterNeeds outputs, aliased by the execution
+	// that requested them.
+	needs    []exchangeSpec
 	filtered []exchangeSpec
 
 	// emptyBytes is a permanently all-zero per-rank byte-count slice,
@@ -369,17 +380,18 @@ func New(cfg Config) (*Backend, error) {
 		cfg: cfg,
 		net: netsim.Network{Latency: cfg.Machine.Latency, Bandwidth: cfg.Machine.Bandwidth,
 			EagerThreshold: cfg.Machine.EagerThreshold, Handshake: cfg.Machine.Handshake},
-		owners:     owners,
-		layouts:    halo.Build(cfg.Prog, owners, cfg.NParts, cfg.Depth, cfg.MaxChainLen),
-		dats:       make([][][]float64, cfg.NParts),
-		valid:      make([]validity, len(cfg.Prog.Dats)),
-		clock:      make([]float64, cfg.NParts),
-		stats:      newStats(),
-		plans:      map[string]*planEntry{},
-		tunes:      map[tuneKey]*chainTune{},
-		warmPlans:  map[planKey]bool{},
-		heCache:    map[*chaincfg.Chain]heOverrides{},
-		crashArmed: armAll(len(cfg.Faults.CrashSchedule())),
+		owners:       owners,
+		layouts:      halo.Build(cfg.Prog, owners, cfg.NParts, cfg.Depth, cfg.MaxChainLen),
+		dats:         make([][][]float64, cfg.NParts),
+		valid:        make([]validity, len(cfg.Prog.Dats)),
+		clock:        make([]float64, cfg.NParts),
+		stats:        newStats(),
+		plans:        map[string]*planEntry{},
+		stdSchedules: map[string]*exchangeSchedule{},
+		tunes:        map[tuneKey]*chainTune{},
+		warmPlans:    map[planKey]bool{},
+		heCache:      map[*chaincfg.Chain]heOverrides{},
+		crashArmed:   armAll(len(cfg.Faults.CrashSchedule())),
 	}
 	b.initScratch()
 	workers := 1
@@ -692,10 +704,9 @@ func (b *Backend) forEachRank(f func(w, r int)) {
 // removes the pool: serial dispatch) and sizes the per-worker scratch to
 // match. Tests use it to force multi-worker pools on single-slot machines.
 func (b *Backend) installPool(workers int) {
-	if b.pool != nil {
-		b.pool.close()
-		b.pool = nil
-	}
+	// Tear down through Close: it also clears the finalizer the previous
+	// pool installed, which runtime.SetFinalizer refuses to set twice.
+	b.Close()
 	if workers > 1 {
 		b.pool = newRankPool(workers)
 		// The pool's goroutines reference only the pool, so an
@@ -744,6 +755,8 @@ func (b *Backend) initScratch() {
 	s.stdEnd = make([]int, n)
 	s.stdPost = make([]float64, n)
 	s.stdRecvLast = make([]float64, n)
+	s.gbl = make([][][]float64, n)
+	s.gblVals = make([][]float64, n)
 	s.chainPost = make([]float64, n)
 	s.chainRecvLast = make([]float64, n)
 	s.chainCores = make([][]int, n)
@@ -769,131 +782,51 @@ func (b *Backend) initScratch() {
 	b.fnChainExec = func(w, r int) { b.chainExecRank(w, r) }
 }
 
-// runLoopOnRank executes iterations [lo, hi) of loop l on rank r, as
-// worker w (indexing the per-worker view/data/map scratch). Ranges within
-// the executable region run in the layout's canonical ExecOrder (ascending
-// global index), so indirect increments accumulate identically on every
-// rank and every execution policy — per-loop, CA at any depth — and match
-// the sequential reference bit for bit. Non-execute refresh ranges write
-// elementwise and run in storage order. gblScratch, when non-nil, holds
-// per-argument redirection buffers for global reduction arguments.
-func (b *Backend) runLoopOnRank(w, r int, l core.Loop, lo, hi int, gblScratch [][]float64) {
-	if lo >= hi {
-		return
-	}
-	nargs := len(l.Args)
-	// Reused per-worker tables. Stale entries at global-argument positions
-	// are never read (the view loop below redirects globals to Gbl or the
-	// scratch buffer), and every view slot is rewritten before the kernel
-	// runs, so no clearing is needed.
-	ws := &b.wsc[w]
-	views := growSlices(&ws.views, l.NumViews())
-	data := growSlices(&ws.data, nargs)
-	maps := growMaps(&ws.maps, nargs)
-	for i, a := range l.Args {
-		switch {
-		case a.IsGlobal():
-			continue
-		case a.Indirect():
-			data[i] = b.dats[r][a.Dat.ID]
-			maps[i] = b.layouts[r].MapL(a.Map)
-		default:
-			data[i] = b.dats[r][a.Dat.ID]
-		}
-	}
-	deref := func(i int, a core.Arg, iter, slot int) []float64 {
-		e := int(maps[i][iter*a.Map.Arity+slot])
-		if e < 0 {
-			panic(fmt.Sprintf("cluster: rank %d loop %q iteration %d dereferences element beyond halo depth (map %s slot %d)",
-				r, l.Kernel.Name, iter, a.Map.Name, slot))
-		}
-		return data[i][e*a.Dat.Dim : (e+1)*a.Dat.Dim]
-	}
-	run := func(iter int) {
-		vi := 0
-		for i, a := range l.Args {
-			switch {
-			case a.IsGlobal():
-				if gblScratch != nil && gblScratch[i] != nil {
-					views[vi] = gblScratch[i]
-				} else {
-					views[vi] = a.Gbl
-				}
-				vi++
-			case a.Indirect() && a.Idx == core.VecAll:
-				for slot := 0; slot < a.Map.Arity; slot++ {
-					views[vi] = deref(i, a, iter, slot)
-					vi++
-				}
-			case a.Indirect():
-				views[vi] = deref(i, a, iter, a.Idx)
-				vi++
-			default:
-				views[vi] = data[i][iter*a.Dat.Dim : (iter+1)*a.Dat.Dim]
-				vi++
-			}
-		}
-		l.Kernel.Fn(views)
-	}
-	if order := b.layouts[r].SetL(l.Set).ExecOrder; hi <= len(order) {
-		for _, iter := range order {
-			if it := int(iter); it >= lo && it < hi {
-				run(it)
-			}
-		}
-		return
-	}
-	for iter := lo; iter < hi; iter++ {
-		run(iter)
-	}
-}
-
-// growSlices returns s resized to n entries, reallocating only on growth.
-func growSlices(s *[][]float64, n int) [][]float64 {
-	if cap(*s) < n {
-		*s = make([][]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// growMaps is growSlices for map-index tables.
-func growMaps(s *[][]int32, n int) [][]int32 {
-	if cap(*s) < n {
-		*s = make([][]int32, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
 // prepareGlobals returns per-rank scratch buffers for global reduction
-// arguments of l (identity-initialised), or nil when l has none.
+// arguments of l (identity-initialised), or nil when l has none. The
+// buffers live in Backend scratch, valid until the next call: each rank's
+// per-argument rows slice one reusable value array.
 func (b *Backend) prepareGlobals(l core.Loop) [][][]float64 {
 	if !l.HasGlobalReduction() {
 		return nil
 	}
-	scratch := make([][][]float64, b.cfg.NParts)
-	for r := range scratch {
-		scratch[r] = make([][]float64, len(l.Args))
-		for i, a := range l.Args {
-			if !a.IsGlobal() || a.Mode == core.Read {
-				continue
-			}
-			buf := make([]float64, len(a.Gbl))
-			switch a.Mode {
-			case core.Min:
-				for j := range buf {
-					buf[j] = math.Inf(1)
-				}
-			case core.Max:
-				for j := range buf {
-					buf[j] = math.Inf(-1)
-				}
-			}
-			scratch[r][i] = buf
+	sc := &b.scr
+	n := 0
+	for _, a := range l.Args {
+		if a.IsGlobal() && a.Mode != core.Read {
+			n += len(a.Gbl)
 		}
 	}
-	return scratch
+	for r := range sc.gbl {
+		if cap(sc.gbl[r]) < len(l.Args) {
+			sc.gbl[r] = make([][]float64, len(l.Args))
+		}
+		if cap(sc.gblVals[r]) < n {
+			sc.gblVals[r] = make([]float64, n)
+		}
+		row, vals := sc.gbl[r][:len(l.Args)], sc.gblVals[r][:n]
+		sc.gbl[r] = row
+		for i, a := range l.Args {
+			if !a.IsGlobal() || a.Mode == core.Read {
+				row[i] = nil
+				continue
+			}
+			buf := vals[:len(a.Gbl):len(a.Gbl)]
+			vals = vals[len(a.Gbl):]
+			identity := 0.0
+			switch a.Mode {
+			case core.Min:
+				identity = math.Inf(1)
+			case core.Max:
+				identity = math.Inf(-1)
+			}
+			for j := range buf {
+				buf[j] = identity
+			}
+			row[i] = buf
+		}
+	}
+	return sc.gbl
 }
 
 // reduceGlobals combines per-rank partial reductions into the user buffers

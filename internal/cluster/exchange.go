@@ -214,44 +214,59 @@ func (b *Backend) filterNeeds(specs []exchangeSpec) []exchangeSpec {
 	return out
 }
 
+// maxStdSchedules bounds the per-loop exchange memo (stdSchedules). A
+// program declares a fixed set of loops and the dirty state leaves them a
+// few distinct filtered spec sets: the perfbench workloads peak at 7
+// (mgcfd-steady; hydra-cold, whose cases run every Hydra proxy loop in OP2
+// and CA mode) and 4 per served job (service-mixed), and
+// TestStdScheduleMemoStaysSmall keeps both applications within a quarter
+// of the bound. Spec sets beyond it run the uncached exchange.
+const maxStdSchedules = 32
+
+// stdExchange runs a per-loop exchange (one message per dat, halo kind and
+// shell) by replaying the memoised schedule of its filtered spec set, built
+// on first sight. With NoPlanCache it walks the layouts every time.
+func (b *Backend) stdExchange(specs []exchangeSpec) exchangeResult {
+	if b.cfg.NoPlanCache {
+		return b.doExchange(specs, false)
+	}
+	return b.replaySchedule(b.stdSchedules, maxStdSchedules, specs, false)
+}
+
 // standardNeeds lists the depth-1 halo requirements of one standalone loop,
 // OP2's per-loop dirty-bit rule: indirectly read dats need both halo kinds;
 // directly read dats in indirect loops need the execute halo (their values
-// are consumed by redundant halo iterations).
-func standardNeeds(l core.Loop) []exchangeSpec {
+// are consumed by redundant halo iterations). The returned slice aliases
+// Backend scratch, valid until the next call; a loop has a handful of
+// arguments, so dats are deduplicated by a linear search.
+func (b *Backend) standardNeeds(l core.Loop) []exchangeSpec {
+	out := b.scr.needs[:0]
 	if !l.HasIndirection() {
-		return nil
-	}
-	need := map[*core.Dat]*exchangeSpec{}
-	var order []*core.Dat
-	add := func(d *core.Dat, e, n int) {
-		sp, ok := need[d]
-		if !ok {
-			sp = &exchangeSpec{dat: d}
-			need[d] = sp
-			order = append(order, d)
-		}
-		if e > sp.execDepth {
-			sp.execDepth = e
-		}
-		if n > sp.nonexecDepth {
-			sp.nonexecDepth = n
-		}
+		return out
 	}
 	for _, a := range l.Args {
 		if a.IsGlobal() {
 			continue
 		}
+		var e, n int
 		switch {
 		case a.Indirect() && (a.Mode == core.Read || a.Mode == core.ReadWrite):
-			add(a.Dat, 1, 1)
+			e, n = 1, 1
 		case !a.Indirect() && a.Mode.Reads():
-			add(a.Dat, 1, 0)
+			e = 1
+		default:
+			continue
 		}
+		k := 0
+		for k < len(out) && out[k].dat != a.Dat {
+			k++
+		}
+		if k == len(out) {
+			out = append(out, exchangeSpec{dat: a.Dat})
+		}
+		out[k].execDepth = max(out[k].execDepth, e)
+		out[k].nonexecDepth = max(out[k].nonexecDepth, n)
 	}
-	out := make([]exchangeSpec, 0, len(order))
-	for _, d := range order {
-		out = append(out, *need[d])
-	}
+	b.scr.needs = out
 	return out
 }

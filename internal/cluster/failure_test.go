@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -161,13 +162,20 @@ func TestForeignSingleMessage(t *testing.T) {
 
 // TestBeyondHaloDereferencePanics: executing an iteration whose map row
 // reaches beyond the built halo must panic with a diagnostic rather than
-// corrupt memory.
+// corrupt memory. Localized map rows of non-execute halo elements are all
+// -1, so a node loop through a node-to-node map forced into the nodes'
+// non-execute region dereferences beyond the halo at its first element.
 func TestBeyondHaloDereferencePanics(t *testing.T) {
 	m := mesh.Rotor(6, 5, 4)
 	p := core.NewProgram()
 	nodes := p.DeclSet(m.NNodes, "nodes")
 	edges := p.DeclSet(m.NEdges, "edges")
-	e2n := p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
+	p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
+	self := make([]int32, m.NNodes)
+	for i := range self {
+		self[i] = int32(i)
+	}
+	n2n := p.DeclMap(nodes, nodes, 1, self, "n2n")
 	x := p.DeclDat(nodes, 1, nil, "x")
 	b, err := New(Config{Prog: p, Primary: nodes,
 		Assign: partition.Random(m.NNodes, 3, 5), NParts: 3, Depth: 1})
@@ -175,11 +183,9 @@ func TestBeyondHaloDereferencePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &core.Kernel{Name: "k", Fn: func(a [][]float64) {}}
-	l := core.NewLoop(k, edges, core.ArgDat(x, 0, e2n, core.Read), core.ArgDat(x, 1, e2n, core.Read))
-	// Find a rank with non-execute edges (never executed normally) and
-	// force execution into that region.
+	l := core.NewLoop(k, nodes, core.ArgDatDirect(x, core.Read), core.ArgDat(x, 0, n2n, core.Read))
 	for r := 0; r < 3; r++ {
-		sl := b.layouts[r].SetL(edges)
+		sl := b.layouts[r].SetL(nodes)
 		if sl.NNonexec(1) == 0 {
 			continue
 		}
@@ -188,12 +194,14 @@ func TestBeyondHaloDereferencePanics(t *testing.T) {
 			if rec == nil {
 				t.Fatal("expected panic for beyond-halo dereference")
 			}
-			if msg, ok := rec.(string); !ok || !strings.Contains(msg, "beyond halo depth") {
-				t.Fatalf("panic %v does not mention beyond halo depth", rec)
+			want := fmt.Sprintf("cluster: rank %d loop \"k\" iteration %d dereferences element beyond halo depth (map n2n slot 0)",
+				r, sl.NonexecStart[0])
+			if msg, ok := rec.(string); !ok || msg != want {
+				t.Fatalf("panic %v, want %q", rec, want)
 			}
 		}()
 		b.runLoopOnRank(0, r, l, int(sl.NonexecStart[0]), int(sl.NonexecStart[1]), nil)
 		return
 	}
-	t.Skip("no rank with non-execute edges in this partition")
+	t.Fatal("no rank with non-execute nodes in this partition")
 }

@@ -14,8 +14,8 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	m := b.cfg.Machine
 	indirect := l.HasIndirection()
 
-	specs := b.filterNeeds(standardNeeds(l))
-	res := b.doExchange(specs, false)
+	specs := b.filterNeeds(b.standardNeeds(l))
+	res := b.stdExchange(specs)
 	if ct := b.tuneSampling; ct != nil && chainName == ct.chain {
 		ct.noteExchange(specs, res.sendBytes, m.PackRate)
 	}

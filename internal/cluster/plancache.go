@@ -209,21 +209,31 @@ type exchangeSchedule struct {
 
 // exchangeFor runs a chain's halo exchange through the plan cache: the
 // schedule for the current filtered spec set is built on first sight and
-// replayed thereafter. Spec sets beyond the memoisation bound — dirty
-// states the plan has not seen — fall back to the uncached path, as does a
-// disabled cache.
+// replayed thereafter. A disabled cache runs the uncached path.
 func (b *Backend) exchangeFor(entry *planEntry, specs []exchangeSpec, grouped bool) exchangeResult {
-	if entry == nil || len(specs) == 0 {
+	if entry == nil {
+		return b.doExchange(specs, grouped)
+	}
+	return b.replaySchedule(entry.schedules, maxSchedulesPerPlan, specs, grouped)
+}
+
+// replaySchedule runs an exchange through the schedule memo: the schedule
+// for the filtered spec set is built on first sight and replayed
+// thereafter. Spec sets beyond the memo's bound — dirty states it has not
+// seen — fall back to the uncached path.
+func (b *Backend) replaySchedule(memo map[string]*exchangeSchedule, bound int,
+	specs []exchangeSpec, grouped bool) exchangeResult {
+	if len(specs) == 0 {
 		return b.doExchange(specs, grouped)
 	}
 	b.scr.fpBuf = appendSpecFingerprint(b.scr.fpBuf[:0], specs, grouped)
-	s, ok := entry.schedules[string(b.scr.fpBuf)]
+	s, ok := memo[string(b.scr.fpBuf)]
 	if !ok {
-		if len(entry.schedules) >= maxSchedulesPerPlan {
+		if len(memo) >= bound {
 			return b.doExchange(specs, grouped)
 		}
 		s = b.buildSchedule(specs, grouped)
-		entry.schedules[string(b.scr.fpBuf)] = s
+		memo[string(b.scr.fpBuf)] = s
 	}
 	return b.runSchedule(s)
 }

@@ -15,6 +15,10 @@ type Synthetic struct {
 	sres  *core.Dat
 	spres *core.Dat
 	sflux *core.Dat
+	// The chain's loops, built once: every replica of the (update,
+	// edge_flux) pair has the same descriptors, so Run re-issues these
+	// values instead of constructing (and allocating) loops per call.
+	update, flux, advance core.Loop
 }
 
 // kSynUpdate increments the residual from pressure-like differences. The
@@ -68,6 +72,22 @@ func NewSynthetic(a *App) *Synthetic {
 	for i := range s.spres.Data {
 		s.spres.Data[i] = float64(i%9-4) * 0.125
 	}
+	lv := a.Levels[0]
+	s.update = core.NewLoop(kSynUpdate, lv.Edges,
+		core.ArgDat(s.sres, 0, lv.E2N, core.Inc),
+		core.ArgDat(s.sres, 1, lv.E2N, core.Inc),
+		core.ArgDat(s.spres, 0, lv.E2N, core.Read),
+		core.ArgDat(s.spres, 1, lv.E2N, core.Read))
+	s.flux = core.NewLoop(kSynFlux, lv.Edges,
+		core.ArgDat(s.sflux, 0, lv.E2N, core.Inc),
+		core.ArgDat(s.sflux, 1, lv.E2N, core.Inc),
+		core.ArgDat(s.sres, 0, lv.E2N, core.Read),
+		core.ArgDat(s.sres, 1, lv.E2N, core.Read),
+		core.ArgDatDirect(lv.EdgeW, core.Read))
+	s.advance = core.NewLoop(kSynAdvance, lv.Nodes,
+		core.ArgDatDirect(s.spres, core.ReadWrite),
+		core.ArgDatDirect(s.sres, core.ReadWrite),
+		core.ArgDatDirect(s.sflux, core.ReadWrite))
 	a.syn = s
 	return s
 }
@@ -78,28 +98,15 @@ func (s *Synthetic) Dats() (sres, spres, sflux *core.Dat) { return s.sres, s.spr
 // Run executes one outer iteration: the 2*nchains-loop chain (demarcated
 // when chained is true), then the advance loop that re-dirties spres.
 func (s *Synthetic) Run(b core.Backend, nchains int, chained bool) {
-	lv := s.app.Levels[0]
 	if chained {
 		b.ChainBegin("synthetic")
 	}
 	for c := 0; c < nchains; c++ {
-		b.ParLoop(core.NewLoop(kSynUpdate, lv.Edges,
-			core.ArgDat(s.sres, 0, lv.E2N, core.Inc),
-			core.ArgDat(s.sres, 1, lv.E2N, core.Inc),
-			core.ArgDat(s.spres, 0, lv.E2N, core.Read),
-			core.ArgDat(s.spres, 1, lv.E2N, core.Read)))
-		b.ParLoop(core.NewLoop(kSynFlux, lv.Edges,
-			core.ArgDat(s.sflux, 0, lv.E2N, core.Inc),
-			core.ArgDat(s.sflux, 1, lv.E2N, core.Inc),
-			core.ArgDat(s.sres, 0, lv.E2N, core.Read),
-			core.ArgDat(s.sres, 1, lv.E2N, core.Read),
-			core.ArgDatDirect(lv.EdgeW, core.Read)))
+		b.ParLoop(s.update)
+		b.ParLoop(s.flux)
 	}
 	if chained {
 		b.ChainEnd()
 	}
-	b.ParLoop(core.NewLoop(kSynAdvance, lv.Nodes,
-		core.ArgDatDirect(s.spres, core.ReadWrite),
-		core.ArgDatDirect(s.sres, core.ReadWrite),
-		core.ArgDatDirect(s.sflux, core.ReadWrite)))
+	b.ParLoop(s.advance)
 }
