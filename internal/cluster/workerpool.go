@@ -12,7 +12,7 @@ package cluster
 //     long-lived worker goroutines (the dispatching goroutine is the last
 //     executor); a fork hands out contiguous rank chunks from an atomic
 //     cursor, so 1024 simulated ranks on 8 cores run as 8 OS-schedulable
-//     workers pulling 32-rank chunks instead of 1024 short-lived goroutines
+//     workers pulling 8-rank chunks instead of 1024 short-lived goroutines
 //     churned per fork point.
 //
 //   - Panic transparency. A panic on a worker goroutine — a typed
@@ -106,10 +106,14 @@ func (p *rankPool) forEach(nparts int, f func(w, r int)) {
 	run := &p.run
 	run.f = f
 	run.nparts = int64(nparts)
-	// Chunks ~4x finer than the worker count balance straggler ranks
+	// Chunks ~16x finer than the worker count balance straggler ranks
 	// (fault-injected or surface-heavy partitions) without measurable
-	// cursor contention; each chunk claim is one atomic add.
-	chunk := int64(nparts) / int64(4*p.workers)
+	// cursor contention; each chunk claim is one atomic add. The join
+	// waits for the last chunk claimed, so the chunk size bounds the
+	// join's tail: below 32 ranks per worker every claim is one
+	// rank, which keeps the tail short when one core runs slower than the
+	// others for a while.
+	chunk := int64(nparts) / int64(16*p.workers)
 	if chunk < 1 {
 		chunk = 1
 	}
