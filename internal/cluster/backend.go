@@ -421,18 +421,19 @@ func New(cfg Config) (*Backend, error) {
 	if b.retryBackoff == 0 {
 		b.retryBackoff = cfg.Machine.Latency
 	}
-	for r := range b.dats {
+	// Localize every dat: each rank gathers its own elements.
+	b.forEachRank(func(_, r int) {
 		b.dats[r] = make([][]float64, len(cfg.Prog.Dats))
 		for _, d := range cfg.Prog.Dats {
-			sl := b.layouts[r].SetL(d.Set)
-			local := make([]float64, sl.Total()*d.Dim)
-			for loc := 0; loc < sl.Total(); loc++ {
-				g := int(sl.L2G[loc])
-				copy(local[loc*d.Dim:(loc+1)*d.Dim], d.Data[g*d.Dim:(g+1)*d.Dim])
+			dim := d.Dim
+			l2g := b.layouts[r].SetL(d.Set).L2G
+			local := make([]float64, len(l2g)*dim)
+			for loc, g := range l2g {
+				copy(local[loc*dim:(loc+1)*dim], d.Data[int(g)*dim:(int(g)+1)*dim])
 			}
 			b.dats[r][d.ID] = local
 		}
-	}
+	})
 	for i := range b.valid {
 		b.valid[i] = validity{exec: cfg.Depth, nonexec: cfg.Depth}
 	}

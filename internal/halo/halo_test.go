@@ -217,14 +217,16 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 			if len(sl.L2G) != sl.Total() {
 				t.Fatalf("rank %d set %s: L2G len %d != Total %d", l.Rank, set.Name, len(sl.L2G), sl.Total())
 			}
-			// Bijectivity.
-			if len(sl.G2L) != len(sl.L2G) {
-				t.Fatalf("rank %d set %s: duplicate elements in local view", l.Rank, set.Name)
-			}
+			// Bijectivity: inverting L2G finds every global element once.
+			g2l := make(map[int32]int, len(sl.L2G))
 			for loc, g := range sl.L2G {
-				if sl.G2L[g] != int32(loc) {
-					t.Fatalf("rank %d set %s: G2L/L2G mismatch at %d", l.Rank, set.Name, loc)
+				if g < 0 || int(g) >= set.Size {
+					t.Fatalf("rank %d set %s: local %d maps to global %d outside the set", l.Rank, set.Name, loc, g)
 				}
+				if prev, dup := g2l[g]; dup {
+					t.Fatalf("rank %d set %s: global %d at locals %d and %d", l.Rank, set.Name, g, prev, loc)
+				}
+				g2l[g] = loc
 			}
 			// Owned prefix really owned; shells match brute force.
 			for loc := 0; loc < sl.NOwned; loc++ {

@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"op2ca/internal/obs"
 )
@@ -88,7 +89,7 @@ func criticalPath(spans []obs.Span, edges []obs.Edge) CritPath {
 		}
 		edgesTo[e.To] = append(edgesTo[e.To], e)
 	}
-	sort.SliceStable(retries, func(i, j int) bool { return retries[i].Begin < retries[j].Begin })
+	slices.SortStableFunc(retries, func(a, b obs.Edge) int { return cmp.Compare(a.Begin, b.Begin) })
 
 	sink, T := spans[0].Rank, spans[0].End
 	for _, s := range spans[1:] {
@@ -148,15 +149,14 @@ func criticalPath(spans []obs.Span, edges []obs.Edge) CritPath {
 			cp.ByName[s.Name] += d
 		}
 	}
-	sort.SliceStable(cp.Edges, func(i, j int) bool {
-		a, b := cp.Edges[i], cp.Edges[j]
-		if a.Dur() != b.Dur() {
-			return a.Dur() > b.Dur()
+	slices.SortStableFunc(cp.Edges, func(a, b PathEdge) int {
+		switch {
+		case a.Dur() != b.Dur():
+			return cmp.Compare(b.Dur(), a.Dur())
+		case a.Begin != b.Begin:
+			return cmp.Compare(a.Begin, b.Begin)
 		}
-		if a.Begin != b.Begin {
-			return a.Begin < b.Begin
-		}
-		return a.From < b.From
+		return cmp.Compare(a.From, b.From)
 	})
 	return cp
 }

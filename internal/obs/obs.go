@@ -16,7 +16,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -315,27 +317,22 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
+	slices.SortStableFunc(out, func(a, b Span) int {
+		switch {
+		case a.Epoch != b.Epoch:
+			return cmp.Compare(a.Epoch, b.Epoch)
+		case a.Rank != b.Rank:
+			return cmp.Compare(a.Rank, b.Rank)
+		case a.Track != b.Track:
+			return cmp.Compare(a.Track, b.Track)
+		case a.Begin != b.Begin:
+			return cmp.Compare(a.Begin, b.Begin)
+		case a.End != b.End:
+			return cmp.Compare(b.End, a.End) // longer first: containment order for nesting
+		case a.Kind != b.Kind:
+			return cmp.Compare(a.Kind, b.Kind)
 		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Begin != b.Begin {
-			return a.Begin < b.Begin
-		}
-		if a.End != b.End {
-			return a.End > b.End // longer first: containment order for nesting
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }
@@ -350,27 +347,22 @@ func (t *Tracer) Edges() []Edge {
 	out := make([]Edge, len(t.edges))
 	copy(out, t.edges)
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
+	slices.SortStableFunc(out, func(a, b Edge) int {
+		switch {
+		case a.Epoch != b.Epoch:
+			return cmp.Compare(a.Epoch, b.Epoch)
+		case a.To != b.To:
+			return cmp.Compare(a.To, b.To)
+		case a.End != b.End:
+			return cmp.Compare(a.End, b.End)
+		case a.Begin != b.Begin:
+			return cmp.Compare(a.Begin, b.Begin)
+		case a.From != b.From:
+			return cmp.Compare(a.From, b.From)
+		case a.Kind != b.Kind:
+			return cmp.Compare(a.Kind, b.Kind)
 		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Begin != b.Begin {
-			return a.Begin < b.Begin
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }

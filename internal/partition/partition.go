@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Assignment maps each element of the partitioned (primary) set to a rank.
@@ -277,19 +278,32 @@ func recursiveBisect(coords []float64, dim, nparts int, inertial bool) Assignmen
 	n := len(coords) / dim
 	checkArgs(n, nparts)
 	a := make(Assignment, n)
-	idx := make([]int32, n)
+	idx := make([]keyed, n)
 	for i := range idx {
-		idx[i] = int32(i)
+		idx[i].elem = int32(i)
 	}
 	bisect(coords, dim, idx, 0, nparts, a, inertial)
 	return a
 }
 
-// bisect assigns parts [base, base+nparts) to the elements in idx.
-func bisect(coords []float64, dim int, idx []int32, base, nparts int, a Assignment, inertial bool) {
+// keyed is an element with its projection onto the current bisection axis.
+type keyed struct {
+	key  float64
+	elem int32
+}
+
+// parallelBisectMin is the element count from which bisect recurses into
+// its two halves on separate goroutines. Smaller calls stay serial, which
+// also bounds the goroutines one partitioning starts to 2n/parallelBisectMin.
+const parallelBisectMin = 1 << 13
+
+// bisect assigns parts [base, base+nparts) to the elements in idx. The
+// halves are disjoint, so they recurse concurrently on large inputs and
+// the assignment does not depend on scheduling.
+func bisect(coords []float64, dim int, idx []keyed, base, nparts int, a Assignment, inertial bool) {
 	if nparts == 1 {
-		for _, e := range idx {
-			a[e] = int32(base)
+		for _, k := range idx {
+			a[k.elem] = int32(base)
 		}
 		return
 	}
@@ -304,11 +318,34 @@ func bisect(coords []float64, dim int, idx []int32, base, nparts int, a Assignme
 	} else {
 		axis = widestAxis(coords, dim, idx)
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		return project(coords, dim, idx[i], axis) < project(coords, dim, idx[j], axis)
+	for i := range idx {
+		idx[i].key = project(coords, dim, idx[i].elem, axis)
+	}
+	// Tied projections are ordered by pdqsort's deterministic permutation,
+	// the same one sort.Slice produces: principalAxis sums in idx order, so
+	// another tie order would change later axes and the assignment.
+	slices.SortFunc(idx, func(x, y keyed) int {
+		switch {
+		case x.key < y.key:
+			return -1
+		case x.key > y.key:
+			return 1
+		}
+		return 0
 	})
-	bisect(coords, dim, idx[:nLeft], base, leftParts, a, inertial)
+	if len(idx) < parallelBisectMin {
+		bisect(coords, dim, idx[:nLeft], base, leftParts, a, inertial)
+		bisect(coords, dim, idx[nLeft:], base+leftParts, rightParts, a, inertial)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		bisect(coords, dim, idx[:nLeft], base, leftParts, a, inertial)
+	}()
 	bisect(coords, dim, idx[nLeft:], base+leftParts, rightParts, a, inertial)
+	wg.Wait()
 }
 
 func project(coords []float64, dim int, e int32, axis []float64) float64 {
@@ -321,9 +358,10 @@ func project(coords []float64, dim int, e int32, axis []float64) float64 {
 
 // principalAxis computes the dominant eigenvector of the covariance matrix
 // of the selected points by power iteration.
-func principalAxis(coords []float64, dim int, idx []int32) []float64 {
+func principalAxis(coords []float64, dim int, idx []keyed) []float64 {
 	mean := make([]float64, dim)
-	for _, e := range idx {
+	for _, k := range idx {
+		e := k.elem
 		for d := 0; d < dim; d++ {
 			mean[d] += coords[int(e)*dim+d]
 		}
@@ -332,7 +370,8 @@ func principalAxis(coords []float64, dim int, idx []int32) []float64 {
 		mean[d] /= float64(len(idx))
 	}
 	cov := make([]float64, dim*dim)
-	for _, e := range idx {
+	for _, k := range idx {
+		e := k.elem
 		for d1 := 0; d1 < dim; d1++ {
 			v1 := coords[int(e)*dim+d1] - mean[d1]
 			for d2 := 0; d2 < dim; d2++ {
@@ -365,12 +404,14 @@ func principalAxis(coords []float64, dim int, idx []int32) []float64 {
 	return v
 }
 
-func widestAxis(coords []float64, dim int, idx []int32) []float64 {
+func widestAxis(coords []float64, dim int, idx []keyed) []float64 {
 	lo := make([]float64, dim)
 	hi := make([]float64, dim)
-	copy(lo, coords[int(idx[0])*dim:int(idx[0])*dim+dim])
+	e0 := int(idx[0].elem)
+	copy(lo, coords[e0*dim:e0*dim+dim])
 	copy(hi, lo)
-	for _, e := range idx {
+	for _, k := range idx {
+		e := k.elem
 		for d := 0; d < dim; d++ {
 			c := coords[int(e)*dim+d]
 			if c < lo[d] {
