@@ -222,6 +222,7 @@ type Backend struct {
 	fnStdRank   func(w, r int)
 	fnChainPrep func(w, r int)
 	fnChainExec func(w, r int)
+	fnJudge     netsim.Judge
 }
 
 // workerScratch is the per-worker reusable state of runLoopOnRank: the
@@ -291,9 +292,10 @@ type execScratch struct {
 	keyBuf []byte
 	fpBuf  []byte
 
-	// Clean-path delivery scratch (the faulted path allocates freely).
-	arrivals []float64
-	busy     []float64
+	// Delivery scratch: netsim.Transmit's records, and the exchange
+	// sequence number judgeAttempt keys fault decisions on.
+	delivery netsim.Delivery
+	judgeSeq uint64
 
 	// standardNeeds and filterNeeds outputs, aliased by the execution
 	// that requested them.
@@ -776,11 +778,11 @@ func (b *Backend) initScratch() {
 	s.lp = make([]model.LoopParams, cl)
 	s.neigh = map[[2]int32]bool{}
 	s.perRank = map[int32]int{}
-	s.busy = make([]float64, n)
 	s.emptyBytes = make([]int64, n)
 	b.fnStdRank = func(w, r int) { b.stdRank(w, r) }
 	b.fnChainPrep = func(w, r int) { b.chainPrepRank(w, r) }
 	b.fnChainExec = func(w, r int) { b.chainExecRank(w, r) }
+	b.fnJudge = func(i int, m netsim.Message, try int) netsim.Verdict { return b.judgeAttempt(i, m, try) }
 }
 
 // prepareGlobals returns per-rank scratch buffers for global reduction

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -11,38 +10,6 @@ import (
 	"op2ca/internal/mesh"
 	"op2ca/internal/partition"
 )
-
-// TestBackoffFactorSaturates: the naive 1<<try expression wraps negative at
-// try 63 (and is undefined beyond), which would subtract from virtual time
-// instead of backing off. The factor must stay positive, finite and
-// non-decreasing for every try the retry budget allows.
-func TestBackoffFactorSaturates(t *testing.T) {
-	if f := backoffFactor(0); f != 1 {
-		t.Errorf("backoffFactor(0) = %g, want 1", f)
-	}
-	if f := backoffFactor(10); f != 1024 {
-		t.Errorf("backoffFactor(10) = %g, want 1024", f)
-	}
-	prev := 0.0
-	for try := 0; try <= maxRetryBudget; try++ {
-		f := backoffFactor(try)
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			t.Fatalf("backoffFactor(%d) = %g, want positive finite", try, f)
-		}
-		if f < prev {
-			t.Fatalf("backoffFactor(%d) = %g < backoffFactor(%d) = %g", try, f, try-1, prev)
-		}
-		prev = f
-	}
-	if got, want := backoffFactor(63), backoffFactor(62); got != want {
-		t.Errorf("backoffFactor(63) = %g, want the try-62 saturation value %g", got, want)
-	}
-	// The exact boundary the old expression got wrong.
-	one := int64(1)
-	if old := float64(one << uint(63)); old >= 0 {
-		t.Fatalf("test premise broken: 1<<63 as int64 should be negative, got %g", old)
-	}
-}
 
 // retryFixture is a minimal valid configuration for New validation tests.
 func retryFixture() (m *mesh.FV3D, p *core.Program, nodes *core.Set, assign partition.Assignment) {

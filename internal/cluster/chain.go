@@ -206,28 +206,17 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			return
 		}
 	}
-	arrivals := d.arrivals
+	recs := d.recs
 
 	b.forEachRank(b.fnChainExec)
 	gpuDirect := b.cfg.GPUDirect && m.GPU != nil
 	recvLast := sc.chainRecvLast
-	clear(recvLast)
-	for i, msg := range res.msgs {
-		if arrivals[i] > recvLast[msg.To] {
-			recvLast[msg.To] = arrivals[i]
-		}
-	}
+	lastArrivals(recvLast, res.msgs, recs)
 	traced := b.tracer.Enabled()
 	var inbound [][]int
-	var sendStarts []float64
 	if traced && exchanging {
-		if overlap {
-			sendStarts = sendStartTimesOverlapped(b.net, post, res.msgs, arrivals)
-		} else {
-			sendStarts = sendStartTimes(post, res.msgs, arrivals)
-		}
 		b.emitPackSpans(name, res.sendBytes)
-		b.emitSendSpans(name, sendStarts, res.msgs, arrivals)
+		b.emitSendSpans(name, res.msgs, recs)
 		inbound = inboundIndex(b.cfg.NParts, res.msgs)
 	}
 	for r := 0; r < b.cfg.NParts; r++ {
@@ -241,7 +230,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 				t = recvLast[r]
 			}
 			if traced && exchanging {
-				b.emitWaitSpans(name, r, post[r], inbound[r], res.msgs, arrivals, post, sendStarts)
+				b.emitWaitSpans(name, r, post[r], inbound[r], res.msgs, recs, post)
 			}
 			if grouped {
 				if traced && res.recvBytes[r] > 0 {
@@ -302,7 +291,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			}
 		}
 		if traced && exchanging {
-			b.emitWaitSpans(name, r, afterCore, inbound[r], res.msgs, arrivals, post, sendStarts)
+			b.emitWaitSpans(name, r, afterCore, inbound[r], res.msgs, recs, post)
 		}
 		for i := range loops {
 			if halo := haloIters[r][i]; halo > 0 {

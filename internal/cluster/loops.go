@@ -46,27 +46,17 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	// Always bulk delivery (never overlapped): per-loop exchanges are the
 	// probe/calibration baseline, and their spans must decompose as
 	// h*L + m/B for the network fit (see taskgraph.go).
-	d := b.deliver(post, res.msgs, traceKey, b.maxRetries, false)
-	arrivals := d.arrivals
+	recs := b.deliver(post, res.msgs, traceKey, b.maxRetries, false).recs
 	recvLast := sc.stdRecvLast
-	clear(recvLast)
-	for i, msg := range res.msgs {
-		if arrivals[i] > recvLast[msg.To] {
-			recvLast[msg.To] = arrivals[i]
-		}
-	}
+	lastArrivals(recvLast, res.msgs, recs)
 	gpuDirect := b.cfg.GPUDirect && m.GPU != nil
 
 	traced := b.tracer.Enabled()
 	var inbound [][]int
-	var sendStarts []float64
-	if traced {
-		if exchanging {
-			sendStarts = sendStartTimes(post, res.msgs, arrivals)
-			b.emitPackSpans(traceKey, res.sendBytes)
-			b.emitSendSpans(traceKey, sendStarts, res.msgs, arrivals)
-			inbound = inboundIndex(b.cfg.NParts, res.msgs)
-		}
+	if traced && exchanging {
+		b.emitPackSpans(traceKey, res.sendBytes)
+		b.emitSendSpans(traceKey, res.msgs, recs)
+		inbound = inboundIndex(b.cfg.NParts, res.msgs)
 	}
 	for r := 0; r < b.cfg.NParts; r++ {
 		var t float64
@@ -78,7 +68,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 				t = recvLast[r]
 			}
 			if traced && exchanging {
-				b.emitWaitSpans(traceKey, r, post[r], inbound[r], res.msgs, arrivals, post, sendStarts)
+				b.emitWaitSpans(traceKey, r, post[r], inbound[r], res.msgs, recs, post)
 			}
 			start := t
 			t += launch + g*float64(end[r])
@@ -111,7 +101,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 			}
 		}
 		if traced && exchanging {
-			b.emitWaitSpans(traceKey, r, afterCore, inbound[r], res.msgs, arrivals, post, sendStarts)
+			b.emitWaitSpans(traceKey, r, afterCore, inbound[r], res.msgs, recs, post)
 		}
 		if halo := end[r] - coreEnd[r]; halo > 0 {
 			haloStart := t

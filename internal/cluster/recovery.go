@@ -11,7 +11,9 @@ package cluster
 // A lost or corrupt attempt is detected one RetryTimeout after its
 // (non-)arrival and retransmitted after an exponential backoff
 // (RetryBackoff * 2^attempt); every retransmission occupies the sender's NIC
-// for another L + m/B. A message that exhausts its budget of MaxRetries
+// for another L + m/B (m/B under overlapped delivery). netsim.Transmit does
+// the arithmetic; this layer supplies the verdicts and reads the records. A
+// message that exhausts its budget of MaxRetries
 // retransmissions is a giveup: per-loop exchanges treat it as delivered by a
 // reliable transport at the final attempt's arrival, while CA chains degrade
 // the whole window (see runChainImpl's degradation ladder).
@@ -25,10 +27,10 @@ import (
 
 // delivery is the outcome of one exchange's message delivery.
 type delivery struct {
-	// arrivals parallels the exchange's messages: the arrival time of the
-	// first usable copy, or of the final failed attempt for given-up
-	// messages.
-	arrivals []float64
+	// recs parallels the exchange's messages (see netsim.Record). It
+	// aliases Backend scratch: the next deliver call overwrites it, after
+	// which only the scalars below may be read.
+	recs []netsim.Record
 	// giveups counts messages that exhausted the retransmission budget.
 	giveups int
 	// failAt is the latest final-attempt arrival among given-up messages.
@@ -39,99 +41,104 @@ type delivery struct {
 // complete: one detection timeout after the last given-up attempt's arrival.
 func (d delivery) restartTime(timeout float64) float64 { return d.failAt + timeout }
 
-// deliver computes message arrival times under the configured fault plan,
-// charging retransmissions, backoff and straggler slowdowns in virtual time
-// and counting every event into the run's FaultStats. With no plan (or a
-// plan that injects nothing) it reduces to netsim.Deliver — the arithmetic
-// of the clean path is identical operation for operation, so enabling fault
-// injection with zero probabilities does not perturb a single clock bit.
-// owner labels the retry/giveup trace spans (the chain or kernel name).
-// overlap selects the pipelined post/complete delivery of the task-graph
-// executor (see taskgraph.go) instead of bulk-synchronous NIC serialisation.
-func (b *Backend) deliver(post []float64, msgs []netsim.Message, owner string, maxRetries int, overlap bool) delivery {
-	seq := b.exchangeGate(owner)
-	plan := b.cfg.Faults
-	if overlap {
-		return b.deliverOverlapped(seq, post, msgs, owner, maxRetries)
+// lastArrivals writes into recvLast, per receiving rank, the latest arrival
+// among its inbound messages (0 for a rank receiving nothing).
+func lastArrivals(recvLast []float64, msgs []netsim.Message, recs []netsim.Record) {
+	clear(recvLast)
+	for i, msg := range msgs {
+		if recs[i].Arrival > recvLast[msg.To] {
+			recvLast[msg.To] = recs[i].Arrival
+		}
 	}
-	if !plan.Enabled() {
-		b.scr.arrivals = b.net.DeliverInto(b.scr.arrivals[:0], b.scr.busy, post, msgs)
-		arrivals := b.scr.arrivals
-		if ct := b.tuneSampling; ct != nil {
-			// Calibration sampling: replay the per-sender serialisation to
-			// recover each message's own span (NIC-ready to arrival). Only
-			// clean deliveries feed the fit — retransmission noise under
-			// fault injection would poison the L/B regression.
-			busy := make(map[int32]float64, len(post))
+}
+
+// deliver runs one exchange's messages through netsim.Transmit under the
+// configured fault plan and reads the records back into the delivery, the
+// run's FaultStats, the retry/giveup trace spans and the autotuner's
+// calibration samples. With no plan the judge is nil; a plan that injects
+// nothing judges every attempt with factors of exactly 1.0, so enabling
+// fault injection with zero probabilities does not perturb a single clock
+// bit. owner labels the retry/giveup trace spans (the chain or kernel
+// name). overlap selects the pipelined post/complete delivery of the
+// task-graph executor (see taskgraph.go) instead of bulk-synchronous NIC
+// serialisation.
+func (b *Backend) deliver(post []float64, msgs []netsim.Message, owner string, maxRetries int, overlap bool) delivery {
+	b.scr.judgeSeq = b.exchangeGate(owner)
+	mode := netsim.Bulk
+	if overlap {
+		mode = netsim.Overlapped
+	}
+	var judge netsim.Judge
+	if b.cfg.Faults.Enabled() {
+		judge = b.fnJudge
+	}
+	out := &b.scr.delivery
+	b.net.Transmit(out, mode, post, msgs, judge,
+		netsim.Retry{Timeout: b.retryTimeout, Backoff: b.retryBackoff, Budget: maxRetries})
+	d := delivery{recs: out.Records}
+	if judge == nil {
+		if ct := b.tuneSampling; ct != nil && !overlap {
+			// Calibration sampling: each message's own span, NIC-ready to
+			// arrival. Only clean bulk deliveries feed the fit —
+			// retransmission noise would poison the L/B regression, and
+			// an overlapped span (m/B + L minus queueing) does not
+			// decompose as h*L + m/B.
 			for i, m := range msgs {
-				start, ok := busy[m.From]
-				if !ok {
-					start = post[m.From]
-				}
-				ct.cal.AddExchange(m.Bytes, arrivals[i]-start)
-				busy[m.From] = arrivals[i]
+				ct.cal.AddExchange(m.Bytes, d.recs[i].Arrival-d.recs[i].Begin)
 			}
 		}
-		return delivery{arrivals: arrivals}
+		return d
 	}
 	fs := &b.stats.Faults
+	fs.Retries += int64(len(out.Failures))
 	traced := b.tracer.Enabled()
-	d := delivery{arrivals: make([]float64, len(msgs))}
-	busy := make(map[int32]float64, len(post))
-	for i, m := range msgs {
-		start, ok := busy[m.From]
-		if !ok {
-			start = post[m.From]
-		}
-		base := b.net.MessageTime(m.Bytes)
-		for try := 0; ; try++ {
-			v := plan.Judge(faults.Attempt{Exchange: seq, Msg: i, Try: try, From: m.From, To: m.To})
-			arr := start + base*v.Slow*v.Delay
-			busy[m.From] = arr
-			if v.Delay > 1 {
-				fs.Delays++
-			}
-			if !v.Failed() {
-				d.arrivals[i] = arr
-				break
-			}
-			if v.Drop {
-				fs.Drops++
-			} else {
-				fs.Corrupts++
-			}
-			if try >= maxRetries {
-				fs.Giveups++
-				d.giveups++
-				d.arrivals[i] = arr
-				if arr > d.failAt {
-					d.failAt = arr
-				}
-				if traced {
-					b.tracer.Emit(m.From, obs.TrackExec, obs.Giveup, owner,
-						arr, arr+b.retryTimeout, m.Bytes)
-				}
-				break
-			}
-			fs.Retries++
-			// Detection one timeout after the failed attempt, then the
-			// exponential backoff; the NIC sits idle until the retransmit.
-			next := arr + b.retryTimeout + b.retryBackoff*backoffFactor(try)
-			if traced {
-				b.tracer.Emit(m.From, obs.TrackExec, obs.Retry, owner, arr, next, m.Bytes)
+	fails := out.Failures
+	for i, rec := range d.recs {
+		m := msgs[i]
+		if traced {
+			for _, f := range fails[:rec.Retries] {
+				b.tracer.Emit(m.From, obs.TrackExec, obs.Retry, owner, f.Arrival, f.Retry, m.Bytes)
 				// The retry edge lets the critical-path walk and the wait
 				// attribution charge this stretch of the message's window
 				// to retransmission rather than transit.
 				b.tracer.EmitEdge(obs.Edge{
 					Kind: obs.EdgeRetry, Name: owner, From: m.From, To: m.From,
-					Post: arr, Begin: arr, End: next, Ready: arr, Bytes: m.Bytes,
+					Post: f.Arrival, Begin: f.Arrival, End: f.Retry, Ready: f.Arrival, Bytes: m.Bytes,
 				})
 			}
-			busy[m.From] = next
-			start = next
+		}
+		fails = fails[rec.Retries:]
+		if !rec.GaveUp {
+			continue
+		}
+		fs.Giveups++
+		d.giveups++
+		if rec.Arrival > d.failAt {
+			d.failAt = rec.Arrival
+		}
+		if traced {
+			b.tracer.Emit(m.From, obs.TrackExec, obs.Giveup, owner,
+				rec.Arrival, rec.Arrival+b.retryTimeout, m.Bytes)
 		}
 	}
 	return d
+}
+
+// judgeAttempt is the fault plan's netsim.Judge for the exchange being
+// delivered (scr.judgeSeq). It counts every delayed, dropped and corrupted
+// attempt into the run's FaultStats as it judges.
+func (b *Backend) judgeAttempt(i int, m netsim.Message, try int) netsim.Verdict {
+	v := b.cfg.Faults.Judge(faults.Attempt{Exchange: b.scr.judgeSeq, Msg: i, Try: try, From: m.From, To: m.To})
+	fs := &b.stats.Faults
+	if v.Delay > 1 {
+		fs.Delays++
+	}
+	if v.Drop {
+		fs.Drops++
+	} else if v.Corrupt {
+		fs.Corrupts++
+	}
+	return netsim.Verdict{Slow: v.Slow, Delay: v.Delay, Failed: v.Failed()}
 }
 
 // exchangeGate runs the per-exchange control checks shared by the bulk and
@@ -182,19 +189,8 @@ func (b *Backend) exchangeGate(owner string) uint64 {
 // fault-plan and per-chain maxretries). Well before 1000 retries the
 // exponential backoff dwarfs any simulated runtime; rejecting larger values
 // in cluster.New keeps the backoff arithmetic far from its try>=63
-// saturation point (see backoffFactor).
+// saturation point (see netsim.Retry).
 const maxRetryBudget = 1000
-
-// backoffFactor is the exponential backoff multiplier 2^try, saturated at
-// 2^62: `int64(1) << try` overflows to a *negative* factor at try >= 63,
-// which would move the retransmission back in virtual time. maxretries= is
-// user-settable (chaincfg), so the boundary is reachable from config.
-func backoffFactor(try int) float64 {
-	if try >= 62 {
-		return float64(int64(1) << 62)
-	}
-	return float64(int64(1) << uint(try))
-}
 
 // maxRetriesFor resolves the per-message retransmission budget for one
 // chain: the chain configuration's maxretries override when present, else

@@ -10,6 +10,7 @@ import (
 	"op2ca/internal/faults"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
+	"op2ca/internal/netsim"
 	"op2ca/internal/obs"
 	"op2ca/internal/partition"
 )
@@ -281,5 +282,29 @@ func TestNewRejectsInvalidNetworkAndRetryKnobs(t *testing.T) {
 	cfg.RetryBackoff = math.Inf(1)
 	if _, err := New(cfg); err == nil {
 		t.Error("infinite RetryBackoff accepted")
+	}
+}
+
+// TestFaultedDeliverAllocFree: with tracing off, a faulted delivery writes
+// its records into Backend scratch and allocates nothing, in both delivery
+// modes, just like a clean one.
+func TestFaultedDeliverAllocFree(t *testing.T) {
+	_, p, nodes, assign := retryFixture()
+	b, err := New(Config{Prog: p, Primary: nodes, Assign: assign, NParts: 2, Depth: 1,
+		Faults: faults.MustParse("drop=0.05,seed=1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := []float64{1e-6, 2e-6}
+	msgs := []netsim.Message{{From: 0, To: 1, Bytes: 4096}, {From: 0, To: 1, Bytes: 100},
+		{From: 1, To: 0, Bytes: 70000}, {From: 1, To: 0, Bytes: 8}}
+	for _, overlap := range []bool{false, true} {
+		deliver := func() { b.deliver(post, msgs, "x", b.maxRetries, overlap) }
+		if n := testing.AllocsPerRun(200, deliver); n != 0 {
+			t.Errorf("overlap=%v: faulted deliver allocates %v times per call", overlap, n)
+		}
+	}
+	if b.stats.Faults.Retries == 0 {
+		t.Error("no retransmissions: the faulted path was not exercised")
 	}
 }

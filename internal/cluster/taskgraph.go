@@ -12,7 +12,7 @@ package cluster
 //	post-send     the send is posted: the rendezvous handshake starts
 //	              immediately and the payload injects behind earlier
 //	              injections from the same sender — only m/B serialises
-//	              on the NIC (netsim.DeliverOverlapped);
+//	              on the NIC (netsim.Overlapped);
 //	compute-core  the core prefix (owned elements touching no halo data)
 //	              runs while messages are in flight, exactly as in the
 //	              bulk executor — this is the MAX term of Equation (1);
@@ -29,12 +29,7 @@ package cluster
 // must decompose as h*L + m/B for the network fit (calibrate.go), and their
 // per-dat eager messages have little pipeline to exploit.
 
-import (
-	"op2ca/internal/chaincfg"
-	"op2ca/internal/faults"
-	"op2ca/internal/netsim"
-	"op2ca/internal/obs"
-)
+import "op2ca/internal/chaincfg"
 
 // overlapFor resolves whether a chain runs the overlap executor: the
 // backend-wide Config.Overlap switch, or the chain's own "overlap"
@@ -45,110 +40,4 @@ func (b *Backend) overlapFor(c *chaincfg.Chain) bool {
 		return true
 	}
 	return c != nil && c.Overlap
-}
-
-// deliverOverlapped is the pipelined counterpart of the bulk delivery in
-// recovery.go, reached through deliver with overlap set. The clean path is
-// netsim.DeliverOverlapped; the faulted path repeats the same attempt loop
-// as the bulk path with the overlapped arithmetic: each attempt starts at
-// max(NIC free, post + handshake), occupies the NIC for m/B (scaled by
-// straggler factors), and arrives one wire latency later. With a plan that
-// injects nothing the factors are exactly 1.0, so the faulted path computes
-// the clean path's clocks operation for operation — the same zero-bit
-// invariant the bulk path keeps. Retries do not re-pay the handshake: the
-// rendezvous completed before the first attempt, so a retransmission waits
-// only for detection, backoff and the NIC.
-//
-// Calibration sampling is deliberately absent: an overlapped span is
-// m/B + L minus queueing, which would poison the h*L + m/B regression the
-// per-loop probe windows feed (they always deliver bulk).
-func (b *Backend) deliverOverlapped(seq uint64, post []float64, msgs []netsim.Message, owner string, maxRetries int) delivery {
-	plan := b.cfg.Faults
-	if !plan.Enabled() {
-		b.scr.arrivals = b.net.DeliverOverlappedInto(b.scr.arrivals[:0], b.scr.busy, post, msgs)
-		return delivery{arrivals: b.scr.arrivals}
-	}
-	fs := &b.stats.Faults
-	traced := b.tracer.Enabled()
-	d := delivery{arrivals: make([]float64, len(msgs))}
-	busy := make(map[int32]float64, len(post))
-	for i, m := range msgs {
-		start, ok := busy[m.From]
-		if !ok {
-			start = post[m.From]
-		}
-		base := float64(m.Bytes) / b.net.Bandwidth
-		hsReady := post[m.From] + b.net.HandshakeTime(m.Bytes)
-		for try := 0; ; try++ {
-			v := plan.Judge(faults.Attempt{Exchange: seq, Msg: i, Try: try, From: m.From, To: m.To})
-			s := start
-			if hsReady > s {
-				s = hsReady
-			}
-			inj := s + base*v.Slow*v.Delay
-			arr := inj + b.net.Latency
-			busy[m.From] = inj
-			if v.Delay > 1 {
-				fs.Delays++
-			}
-			if !v.Failed() {
-				d.arrivals[i] = arr
-				break
-			}
-			if v.Drop {
-				fs.Drops++
-			} else {
-				fs.Corrupts++
-			}
-			if try >= maxRetries {
-				fs.Giveups++
-				d.giveups++
-				d.arrivals[i] = arr
-				if arr > d.failAt {
-					d.failAt = arr
-				}
-				if traced {
-					b.tracer.Emit(m.From, obs.TrackExec, obs.Giveup, owner,
-						arr, arr+b.retryTimeout, m.Bytes)
-				}
-				break
-			}
-			fs.Retries++
-			next := arr + b.retryTimeout + b.retryBackoff*backoffFactor(try)
-			if traced {
-				b.tracer.Emit(m.From, obs.TrackExec, obs.Retry, owner, arr, next, m.Bytes)
-				b.tracer.EmitEdge(obs.Edge{
-					Kind: obs.EdgeRetry, Name: owner, From: m.From, To: m.From,
-					Post: arr, Begin: arr, End: next, Ready: arr, Bytes: m.Bytes,
-				})
-			}
-			busy[m.From] = next
-			start = next
-		}
-	}
-	return d
-}
-
-// sendStartTimesOverlapped replays the overlapped per-sender injection
-// serialisation to recover each message's transmission-begin time for the
-// trace, mirroring sendStartTimes for the bulk path. A message begins
-// injecting at max(NIC free, post + handshake); the NIC frees at the final
-// attempt's injection end, which is the recorded arrival minus one wire
-// latency — exact for clean and faulted deliveries alike, since both paths
-// leave busy at arrival - L after a message completes.
-func sendStartTimesOverlapped(net netsim.Network, post []float64, msgs []netsim.Message, arrivals []float64) []float64 {
-	starts := make([]float64, len(msgs))
-	busy := make(map[int32]float64, len(post))
-	for i, m := range msgs {
-		start, ok := busy[m.From]
-		if !ok {
-			start = post[m.From]
-		}
-		if hs := post[m.From] + net.HandshakeTime(m.Bytes); hs > start {
-			start = hs
-		}
-		starts[i] = start
-		busy[m.From] = arrivals[i] - net.Latency
-	}
-	return starts
 }

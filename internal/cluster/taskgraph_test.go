@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"op2ca/internal/chaincfg"
+	"op2ca/internal/faults"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
 	"op2ca/internal/obs"
@@ -148,6 +151,81 @@ func TestOverlapModelPrediction(t *testing.T) {
 		if errPct > 35 {
 			t.Errorf("%s: model prediction off by %.1f%% (predicted %g, measured %g)",
 				mode, errPct, cs.Predicted, cs.Time)
+		}
+	}
+}
+
+// TestOverlapSendBeginsExact: an overlapped message starts injecting when
+// its sender's NIC frees, or at its own post + handshake if that is later,
+// and the trace must carry that start exactly — it is recorded, not
+// rebuilt from arrival - L, which can round. Per sender and exchange
+// (edges sharing From and Post), each message's Send begin must equal
+// max(previous injection end, post + handshake), where the previous
+// injection ends bytes/B after its final attempt started: its begin, or
+// max(last retransmit, post + handshake) for a retried message.
+func TestOverlapSendBeginsExact(t *testing.T) {
+	m := mesh.Rotor(8, 6, 5)
+	for _, spec := range []string{"", "drop=0.05,seed=3"} {
+		for _, ungrouped := range []bool{false, true} {
+			a := newMiniApp(m)
+			a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
+			tr := obs.New()
+			b, err := New(Config{
+				Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 4), NParts: 4,
+				Depth: 2, MaxChainLen: 4, CA: true, Machine: machine.ARCHER2(),
+				Overlap: true, NoGroupedMsgs: ungrouped, Faults: faults.MustParse(spec), Tracer: tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.run(b, 3, true)
+
+			type sender struct {
+				from int32
+				post float64
+			}
+			exchanges := map[sender][]obs.Edge{}
+			var retries []obs.Edge
+			for _, e := range tr.Edges() {
+				switch {
+				case e.Name != "synth":
+				case e.Kind == obs.EdgeMsg:
+					k := sender{e.From, e.Post}
+					exchanges[k] = append(exchanges[k], e)
+				case e.Kind == obs.EdgeRetry:
+					retries = append(retries, e)
+				}
+			}
+			if spec != "" && len(retries) == 0 {
+				t.Fatalf("%q: no retransmissions to check", spec)
+			}
+			queued := 0
+			for k, msgs := range exchanges {
+				slices.SortFunc(msgs, func(x, y obs.Edge) int { return cmp.Compare(x.Begin, y.Begin) })
+				free := math.Inf(-1)
+				for _, e := range msgs {
+					ready := k.post + b.net.HandshakeTime(e.Bytes)
+					want := ready
+					if free > ready {
+						want = free
+						queued++
+					}
+					if e.Begin != want {
+						t.Errorf("%q ungrouped=%v: rank %d message at %v begins at %v, want %v",
+							spec, ungrouped, e.From, e.Post, e.Begin, want)
+					}
+					final := e.Begin
+					for _, r := range retries {
+						if r.From == e.From && r.Bytes == e.Bytes && r.Begin > e.Begin && r.Begin <= e.End {
+							final = math.Max(final, math.Max(r.End, ready))
+						}
+					}
+					free = final + float64(e.Bytes)/b.net.Bandwidth
+				}
+			}
+			if queued == 0 {
+				t.Errorf("%q ungrouped=%v: no message queued behind an earlier injection", spec, ungrouped)
+			}
 		}
 	}
 }

@@ -33,6 +33,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,8 +182,8 @@ func Parse(spec string) (*Plan, error) {
 			if !ok || !strings.HasPrefix(rankStr, "rank") {
 				return nil, fmt.Errorf("faults: straggler %q is not rankN:FACTORx", val)
 			}
-			rank, err := strconv.Atoi(strings.TrimPrefix(rankStr, "rank"))
-			if err != nil || rank < 0 {
+			rank, err := parseRank(rankStr)
+			if err != nil {
 				return nil, fmt.Errorf("faults: straggler rank %q", rankStr)
 			}
 			f, err := parseFactor(fac)
@@ -192,18 +193,18 @@ func Parse(spec string) (*Plan, error) {
 			if p.Stragglers == nil {
 				p.Stragglers = map[int32]float64{}
 			}
-			if _, dup := p.Stragglers[int32(rank)]; dup {
+			if _, dup := p.Stragglers[rank]; dup {
 				return nil, fmt.Errorf("faults: two straggler clauses for rank %d", rank)
 			}
-			p.Stragglers[int32(rank)] = f
+			p.Stragglers[rank] = f
 		case "crash":
 			// rankN@E, e.g. rank0@120.
 			rankStr, exchStr, ok := strings.Cut(val, "@")
 			if !ok || !strings.HasPrefix(rankStr, "rank") {
 				return nil, fmt.Errorf("faults: crash %q is not rankN@EXCHANGE", val)
 			}
-			rank, err := strconv.Atoi(strings.TrimPrefix(rankStr, "rank"))
-			if err != nil || rank < 0 {
+			rank, err := parseRank(rankStr)
+			if err != nil {
 				return nil, fmt.Errorf("faults: crash rank %q", rankStr)
 			}
 			exch, err := strconv.ParseUint(exchStr, 10, 64)
@@ -215,7 +216,7 @@ func Parse(spec string) (*Plan, error) {
 					return nil, fmt.Errorf("faults: two crash clauses at exchange %d (only the first could ever fire)", exch)
 				}
 			}
-			p.Crashes = append(p.Crashes, Crash{Rank: int32(rank), Exchange: exch})
+			p.Crashes = append(p.Crashes, Crash{Rank: rank, Exchange: exch})
 		case "seed":
 			s, err := strconv.ParseUint(val, 10, 64)
 			if err != nil {
@@ -244,9 +245,21 @@ func MustParse(spec string) *Plan {
 	return p
 }
 
+// parseRank reads a rankN token. Ranks are int32 throughout the runtime,
+// so N must fit one; a wider value would silently wrap to another rank.
+func parseRank(s string) (int32, error) {
+	r, err := strconv.ParseInt(strings.TrimPrefix(s, "rank"), 10, 32)
+	if err != nil || r < 0 {
+		return 0, fmt.Errorf("rank %q", s)
+	}
+	return int32(r), nil
+}
+
+// parseProb rejects NaN with the range check: a NaN probability would
+// compare false everywhere and silently inject nothing.
 func parseProb(s string, out *float64) error {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 || v > 1 {
+	if err != nil || !(v >= 0 && v <= 1) {
 		return fmt.Errorf("probability %q outside [0, 1]", s)
 	}
 	*out = v
@@ -258,8 +271,8 @@ func parseFactor(s string) (float64, error) {
 		return 0, fmt.Errorf("factor %q missing x suffix", s)
 	}
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("factor %q must be >= 1", s)
+	if err != nil || !(v >= 1) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("factor %q must be finite and >= 1", s)
 	}
 	return v, nil
 }

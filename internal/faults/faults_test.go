@@ -67,6 +67,14 @@ func TestParseErrors(t *testing.T) {
 		"seed=1,seed=2",                         // duplicate seed
 		"maxretries=3,maxretries=4",             // duplicate retry budget
 		"straggler=rank1:2x,straggler=rank1:3x", // duplicate straggler rank
+		"drop=NaN",                              // NaN probability would inject nothing
+		"corrupt=nan",                           // any spelling of NaN
+		"delay=NaNx@0.5",                        // NaN factor poisons every clock
+		"delay=+Infx@0.5",                       // infinite factor
+		"straggler=rank0:NaNx",                  // NaN straggler factor
+		"straggler=rank1:Infx",                  // infinite straggler factor
+		"straggler=rank4294967296:2x",           // rank wraps to 0 through int32
+		"straggler=rank2147483648:2x",           // rank wraps negative through int32
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -232,7 +240,8 @@ func TestMultiCrashSchedule(t *testing.T) {
 }
 
 func TestCrashParseErrors(t *testing.T) {
-	for _, bad := range []string{"crash=77", "crash=rank1", "crash=rank-1@5", "crash=rankx@5", "crash=rank1@", "crash=rank1@-2"} {
+	for _, bad := range []string{"crash=77", "crash=rank1", "crash=rank-1@5", "crash=rankx@5", "crash=rank1@", "crash=rank1@-2",
+		"crash=rank2147483648@1"} { // rank wraps negative through int32
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -251,4 +260,47 @@ func TestCrashErrorMessage(t *testing.T) {
 	if msg := e.Error(); !strings.Contains(msg, "3") || !strings.Contains(msg, "9") {
 		t.Errorf("CrashError message %q should carry rank and exchange", msg)
 	}
+}
+
+// FuzzParse: no spec panics the parser, and every accepted spec yields a
+// plan within the runtime's domain (probabilities in [0, 1], finite
+// factors >= 1, non-negative ranks) whose String re-parses to the same
+// String.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, prob := range []float64{p.Drop, p.Corrupt, p.DelayProb} {
+			if !(prob >= 0 && prob <= 1) {
+				t.Fatalf("Parse(%q): probability %g outside [0, 1]", spec, prob)
+			}
+		}
+		factors := []float64{p.DelayFactor}
+		for r, fac := range p.Stragglers {
+			if r < 0 {
+				t.Fatalf("Parse(%q): negative straggler rank %d", spec, r)
+			}
+			factors = append(factors, fac)
+		}
+		for _, fac := range factors {
+			if !(fac >= 1) || math.IsInf(fac, 1) {
+				t.Fatalf("Parse(%q): factor %g not finite and >= 1", spec, fac)
+			}
+		}
+		for _, c := range p.Crashes {
+			if c.Rank < 0 {
+				t.Fatalf("Parse(%q): negative crash rank %d", spec, c.Rank)
+			}
+		}
+		s := p.String()
+		q, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q is rejected: %v", spec, s, err)
+		}
+		if q.String() != s {
+			t.Fatalf("round trip of %q: %q -> %q", spec, s, q.String())
+		}
+	})
 }

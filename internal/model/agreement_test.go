@@ -54,8 +54,8 @@ func TestMsgTimeMatchesNetsim(t *testing.T) {
 
 // TestCommTimeMatchesNetsimDelivery prices a k-message single-sender
 // exchange both ways in both delivery modes: model.Net.CommTime must
-// equal the last netsim arrival (relative to the post time) under Deliver
-// for bulk and DeliverOverlapped for overlapped.
+// equal the last netsim arrival (relative to the post time) under
+// netsim.Transmit in the matching mode.
 func TestCommTimeMatchesNetsimDelivery(t *testing.T) {
 	const k = 4
 	for _, m := range []*machine.Machine{machine.ARCHER2(), machine.Cirrus(), machine.Laptop()} {
@@ -71,14 +71,16 @@ func TestCommTimeMatchesNetsimDelivery(t *testing.T) {
 			}
 			post := []float64{0, 0}
 			for _, overlap := range []bool{false, true} {
-				arr := nw.Deliver(post, msgs)
+				mode := netsim.Bulk
 				if overlap {
-					arr = nw.DeliverOverlapped(post, msgs)
+					mode = netsim.Overlapped
 				}
+				var d netsim.Delivery
+				nw.Transmit(&d, mode, post, msgs, nil, netsim.Retry{})
 				mo := mn
 				mo.Overlap = overlap
 				got := mo.CommTime(k, float64(b))
-				want := arr[k-1]
+				want := d.Records[k-1].Arrival
 				if math.Abs(got-want) > 1e-12*math.Max(1, want) {
 					t.Errorf("%s overlap=%v bytes=%d: CommTime = %g, netsim last arrival = %g",
 						m.Name, overlap, b, got, want)

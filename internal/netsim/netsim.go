@@ -55,7 +55,7 @@ func (n *Network) HandshakeTime(bytes int64) float64 {
 // meaningless times: a zero or negative Bandwidth yields Inf or negative
 // MessageTime, and negative Latency or EagerThreshold invert the cost
 // model. Callers constructing a Network from user-supplied machine
-// parameters should validate before first use; Deliver also checks, so a
+// parameters should validate before first use; Transmit also checks, so a
 // bad network fails loudly at its first exchange instead of corrupting
 // every downstream clock.
 func (n *Network) Validate() error {
@@ -80,95 +80,154 @@ func (n *Network) MessageTime(bytes int64) float64 {
 	return n.Latency + float64(bytes)/n.Bandwidth + n.HandshakeTime(bytes)
 }
 
-// Deliver computes the arrival time of every message. post[r] is the virtual
-// time rank r posts its sends; messages from the same sender serialise on
-// its NIC in slice order. The returned slice parallels msgs.
-func (n *Network) Deliver(post []float64, msgs []Message) []float64 {
-	return n.DeliverInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
+// Mode selects how a message occupies its sender's NIC.
+type Mode uint8
+
+const (
+	// Bulk is bulk-synchronous delivery: the NIC is busy for the whole
+	// MessageTime (L + m/B + handshake) of each message, so a sender's
+	// messages serialise back to back and arrive when the NIC frees.
+	Bulk Mode = iota
+	// Overlapped is the pipelined (post/complete) delivery of the
+	// overlap-capable chain executor. The rendezvous handshake starts at
+	// the sender's post time and only the m/B injection occupies the NIC,
+	// so later messages queue behind earlier injections, not behind their
+	// wire latencies or handshake round trips; the receiver sees the
+	// message one wire latency after its injection ends. A sender's first
+	// message therefore prices as under Bulk (equal up to floating-point
+	// summation order) and each further one saves its latency and
+	// handshake.
+	Overlapped
+)
+
+// Verdict is the outcome of one transmission attempt. The attempt's NIC
+// occupancy is multiplied by Slow, then by Delay (a verdict of 1 and 1
+// multiplies by exactly 1.0, so a plan that injects nothing computes the
+// clean clocks operation for operation); a Failed attempt is retransmitted
+// under the Retry schedule.
+type Verdict struct {
+	Slow, Delay float64
+	Failed      bool
 }
 
-// DeliverInto is Deliver with caller-supplied storage: arrivals are appended
-// to arrival (pass a reusable slice truncated to length 0) and busy, which
-// must have len(post) elements, holds per-sender NIC occupancy during the
-// computation. Hot executors pass scratch so steady-state exchanges allocate
-// nothing; the arithmetic is identical to Deliver's.
-func (n *Network) DeliverInto(arrival, busy, post []float64, msgs []Message) []float64 {
+// Judge decides attempt try (0 = the first transmission) of message i. A
+// nil Judge delivers every attempt cleanly.
+type Judge func(i int, m Message, try int) Verdict
+
+// Retry is the retransmission schedule: a failed attempt is detected
+// Timeout after its arrival and retransmitted Backoff*2^try later (the
+// factor saturates at 2^62); a message whose attempt try >= Budget fails is
+// given up.
+type Retry struct {
+	Timeout, Backoff float64
+	Budget           int
+}
+
+// Record is one message's delivery timeline.
+type Record struct {
+	// Begin is when the first attempt started occupying the sender's NIC.
+	Begin float64
+	// InjectEnd is when the final attempt freed the NIC (Arrival under
+	// Bulk, Arrival - L under Overlapped).
+	InjectEnd float64
+	// Arrival is the arrival of the first usable copy, or of the final
+	// failed attempt for a given-up message.
+	Arrival float64
+	// Retries counts the message's retransmissions: its entries in
+	// Delivery.Failures, which follow those of the messages before it.
+	Retries int32
+	// GaveUp marks a message whose final attempt failed with the retry
+	// budget spent.
+	GaveUp bool
+}
+
+// Failure is one failed attempt that was retransmitted.
+type Failure struct {
+	// Arrival is when the failed attempt arrived (or would have).
+	Arrival float64
+	// Retry is when the retransmission starts waiting for the NIC.
+	Retry float64
+}
+
+// Delivery is caller-owned storage for one exchange's timelines. Keep one
+// and pass it to every Transmit call: each call overwrites the previous
+// contents and steady-state exchanges allocate nothing.
+type Delivery struct {
+	// Records parallels the exchange's messages.
+	Records []Record
+	// Failures lists every retransmitted attempt in message order, then
+	// attempt order.
+	Failures []Failure
+	busy     []float64
+}
+
+// Transmit computes every message's delivery timeline into out. post[r] is
+// the virtual time rank r posts its sends; messages from the same sender
+// serialise on its NIC in slice order, each attempt starting when the NIC
+// frees (and, under Overlapped, not before post + handshake). judge may
+// fail attempts, which are retransmitted per retry; retransmissions do not
+// re-pay the handshake.
+func (n *Network) Transmit(out *Delivery, mode Mode, post []float64, msgs []Message, judge Judge, retry Retry) {
 	if err := n.Validate(); err != nil {
 		panic(err.Error())
 	}
-	copy(busy, post)
+	busy := append(out.busy[:0], post...)
+	out.busy = busy
+	out.Records = out.Records[:0]
+	out.Failures = out.Failures[:0]
 	for i, m := range msgs {
 		if int(m.From) >= len(post) || m.From < 0 {
 			panic(fmt.Sprintf("netsim: message %d from invalid rank %d", i, m.From))
 		}
-		t := busy[m.From] + n.MessageTime(m.Bytes)
-		busy[m.From] = t
-		arrival = append(arrival, t)
+		occ, ready, wire := n.MessageTime(m.Bytes), math.Inf(-1), 0.0
+		if mode == Overlapped {
+			occ, ready, wire = float64(m.Bytes)/n.Bandwidth, post[m.From]+n.HandshakeTime(m.Bytes), n.Latency
+		}
+		var rec Record
+		start := busy[m.From]
+		for try := 0; ; try++ {
+			v := Verdict{Slow: 1, Delay: 1}
+			if judge != nil {
+				v = judge(i, m, try)
+			}
+			s := start
+			if ready > s {
+				s = ready
+			}
+			if try == 0 {
+				rec.Begin = s
+			}
+			inj := s + occ*v.Slow*v.Delay
+			busy[m.From] = inj
+			rec.InjectEnd, rec.Arrival = inj, inj+wire
+			if !v.Failed {
+				break
+			}
+			if try >= retry.Budget {
+				rec.GaveUp = true
+				break
+			}
+			// Detection one timeout after the failed attempt, then the
+			// exponential backoff; the NIC sits idle until the retransmit.
+			next := rec.Arrival + retry.Timeout + retry.Backoff*backoffFactor(try)
+			out.Failures = append(out.Failures, Failure{Arrival: rec.Arrival, Retry: next})
+			rec.Retries++
+			busy[m.From] = next
+			start = next
+		}
+		out.Records = append(out.Records, rec)
 	}
-	return arrival
 }
 
-// DeliverOverlapped is the pipelined (post/complete) counterpart of
-// Deliver, used by the overlap-capable chain executor. Delivery splits into
-// two halves per message:
-//
-//	post:     the sender initiates the rendezvous handshake at its post
-//	          time and injects the payload — only bytes/B occupies the
-//	          NIC, so later messages queue behind earlier injections, not
-//	          behind their wire latencies or handshake round trips;
-//	complete: the receiver sees the message one wire latency after the
-//	          injection finishes.
-//
-// A message therefore arrives at max(NIC free, post + handshake) + bytes/B
-// + L. A sender's first (or only) message prices exactly as under Deliver
-// — post + handshake + bytes/B + L, equal up to floating-point summation
-// order — so single-message exchanges cost the same in both modes; each
-// further message from the same sender saves its latency and handshake,
-// the serial fraction the bulk-synchronous model leaves on the critical
-// path. Only virtual clocks move: data effects apply in canonical order
-// regardless of delivery mode, so results stay bitwise identical.
-func (n *Network) DeliverOverlapped(post []float64, msgs []Message) []float64 {
-	return n.DeliverOverlappedInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
-}
-
-// DeliverOverlappedInto is DeliverOverlapped with caller-supplied storage,
-// mirroring DeliverInto: arrivals append to arrival, busy (len(post)) holds
-// per-sender NIC occupancy — here the injection end, not the arrival.
-func (n *Network) DeliverOverlappedInto(arrival, busy, post []float64, msgs []Message) []float64 {
-	if err := n.Validate(); err != nil {
-		panic(err.Error())
+// backoffFactor is the exponential backoff multiplier 2^try, saturated at
+// 2^62: `int64(1) << try` overflows to a *negative* factor at try >= 63,
+// which would move the retransmission back in virtual time. Retry budgets
+// are user-settable, so the boundary is reachable from config.
+func backoffFactor(try int) float64 {
+	if try >= 62 {
+		return float64(int64(1) << 62)
 	}
-	copy(busy, post)
-	for i, m := range msgs {
-		if int(m.From) >= len(post) || m.From < 0 {
-			panic(fmt.Sprintf("netsim: message %d from invalid rank %d", i, m.From))
-		}
-		t := busy[m.From]
-		if hs := post[m.From] + n.HandshakeTime(m.Bytes); hs > t {
-			t = hs
-		}
-		t += float64(m.Bytes) / n.Bandwidth
-		busy[m.From] = t
-		arrival = append(arrival, t+n.Latency)
-	}
-	return arrival
-}
-
-// WaitAll returns, per rank, the completion time of waiting for all messages
-// addressed to it: the maximum of its own readiness time and the latest
-// arrival. Ranks receiving nothing complete at their readiness time.
-func (n *Network) WaitAll(ready []float64, msgs []Message, arrival []float64) []float64 {
-	done := make([]float64, len(ready))
-	copy(done, ready)
-	for i, m := range msgs {
-		if int(m.To) >= len(done) || m.To < 0 {
-			panic(fmt.Sprintf("netsim: message %d to invalid rank %d", i, m.To))
-		}
-		if arrival[i] > done[m.To] {
-			done[m.To] = arrival[i]
-		}
-	}
-	return done
+	return float64(int64(1) << uint(try))
 }
 
 // ReduceTime returns the cost of a tree allreduce of the given payload over

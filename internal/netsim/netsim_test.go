@@ -9,6 +9,18 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// arrivals transmits msgs cleanly in the given mode and returns their
+// arrival times.
+func arrivals(n *Network, mode Mode, post []float64, msgs []Message) []float64 {
+	var d Delivery
+	n.Transmit(&d, mode, post, msgs, nil, Retry{})
+	out := make([]float64, len(d.Records))
+	for i, r := range d.Records {
+		out[i] = r.Arrival
+	}
+	return out
+}
+
 func TestMessageTime(t *testing.T) {
 	n := &Network{Latency: 1e-6, Bandwidth: 1e9}
 	if got := n.MessageTime(1000); !almost(got, 1e-6+1e-6) {
@@ -27,7 +39,7 @@ func TestDeliverSerialisesPerSender(t *testing.T) {
 		{From: 0, To: 1, Bytes: 3}, // 13 + (1+3) = 17
 		{From: 1, To: 0, Bytes: 1}, // 20 + (1+1) = 22
 	}
-	arr := n.Deliver(post, msgs)
+	arr := arrivals(n, Bulk, post, msgs)
 	want := []float64{13, 17, 22}
 	for i := range want {
 		if !almost(arr[i], want[i]) {
@@ -98,8 +110,8 @@ func TestDeliverOverlappedSingleMatchesBulk(t *testing.T) {
 	post := []float64{1.5, 2.25, 0.125}
 	for _, bytes := range []int64{0, 100, 512, 513, 1 << 16} {
 		msgs := []Message{{From: 0, To: 1, Bytes: bytes}, {From: 1, To: 2, Bytes: bytes}, {From: 2, To: 0, Bytes: bytes}}
-		bulk := n.Deliver(post, msgs)
-		ov := n.DeliverOverlapped(post, msgs)
+		bulk := arrivals(n, Bulk, post, msgs)
+		ov := arrivals(n, Overlapped, post, msgs)
 		for i := range bulk {
 			if !almost(bulk[i], ov[i]) {
 				t.Errorf("bytes=%d msg %d: bulk %v != overlapped %v", bytes, i, bulk[i], ov[i])
@@ -122,8 +134,8 @@ func TestDeliverOverlappedPipelines(t *testing.T) {
 	// Bulk: each message costs L + m/B + 2L = 2+8+4 = 14; arrivals 24, 38, 52.
 	// Overlapped: handshake (start 10, done 14) then 8s injections back to
 	// back — ends 22, 30, 38 — plus L: arrivals 24, 32, 40.
-	bulk := n.Deliver(post, msgs)
-	ov := n.DeliverOverlapped(post, msgs)
+	bulk := arrivals(n, Bulk, post, msgs)
+	ov := arrivals(n, Overlapped, post, msgs)
 	wantBulk := []float64{24, 38, 52}
 	wantOv := []float64{24, 32, 40}
 	for i := range msgs {
@@ -152,8 +164,22 @@ func TestDeliverOverlappedProperty(t *testing.T) {
 		for i, s := range sizes {
 			msgs[i] = Message{From: 0, To: 0, Bytes: int64(s)}
 		}
-		bulk := n.Deliver(post, msgs)
-		ov := n.DeliverOverlapped(post, msgs)
+		bulk := arrivals(n, Bulk, post, msgs)
+		ov := arrivals(n, Overlapped, post, msgs)
+		// The records chain exactly: each injection starts when the
+		// previous one freed the NIC or the handshake completes, and
+		// arrives one latency after it ends.
+		var d Delivery
+		n.Transmit(&d, Overlapped, post, msgs, nil, Retry{})
+		free := post[0]
+		for i, r := range d.Records {
+			want := math.Max(free, post[0]+n.HandshakeTime(msgs[i].Bytes))
+			if r.Begin != want || r.Arrival != r.InjectEnd+n.Latency {
+				t.Logf("record %d = %+v: want Begin %g, Arrival InjectEnd+L", i, r, want)
+				return false
+			}
+			free = r.InjectEnd
+		}
 		prev := 0.0
 		for i, a := range ov {
 			floor := post[0] + n.HandshakeTime(msgs[i].Bytes) + float64(msgs[i].Bytes)/n.Bandwidth + n.Latency
@@ -177,18 +203,7 @@ func TestDeliverOverlappedPanicsOnBadRank(t *testing.T) {
 			t.Error("expected panic for invalid sender")
 		}
 	}()
-	n.DeliverOverlapped([]float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
-}
-
-func TestWaitAll(t *testing.T) {
-	n := &Network{Latency: 1, Bandwidth: 1}
-	ready := []float64{5, 30}
-	msgs := []Message{{From: 0, To: 1, Bytes: 1}, {From: 1, To: 0, Bytes: 1}}
-	arr := []float64{12, 40}
-	done := n.WaitAll(ready, msgs, arr)
-	if !almost(done[0], 40) || !almost(done[1], 30) {
-		t.Errorf("done = %v, want [40 30]", done)
-	}
+	arrivals(n, Overlapped, []float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
 }
 
 // TestValidate: zero/negative Bandwidth used to yield Inf/negative
@@ -242,7 +257,7 @@ func TestDeliverRejectsInvalidNetwork(t *testing.T) {
 			t.Fatalf("panic %v does not name Bandwidth", r)
 		}
 	}()
-	n.Deliver([]float64{0}, []Message{{From: 0, To: 0, Bytes: 8}})
+	arrivals(n, Bulk, []float64{0}, []Message{{From: 0, To: 0, Bytes: 8}})
 }
 
 func TestDeliverPanicsOnBadRank(t *testing.T) {
@@ -252,7 +267,7 @@ func TestDeliverPanicsOnBadRank(t *testing.T) {
 			t.Error("expected panic for invalid sender")
 		}
 	}()
-	n.Deliver([]float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
+	arrivals(n, Bulk, []float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
 }
 
 func TestReduceTime(t *testing.T) {
@@ -284,7 +299,7 @@ func TestDeliverProperty(t *testing.T) {
 		for i, s := range sizes {
 			msgs[i] = Message{From: 0, To: 0, Bytes: int64(s)}
 		}
-		arr := n.Deliver(post, msgs)
+		arr := arrivals(n, Bulk, post, msgs)
 		prev := post[0]
 		for i, a := range arr {
 			if a < post[0]+n.Latency || a <= prev {
@@ -297,5 +312,106 @@ func TestDeliverProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTransmitRetries pins the retry arithmetic and the records in both
+// modes: a failed attempt is retransmitted Timeout + Backoff*2^try after
+// its arrival, its sender's NIC waits for the retransmit, and a message
+// whose budget runs out is given up at its final attempt's arrival.
+func TestTransmitRetries(t *testing.T) {
+	n := &Network{Latency: 1, Bandwidth: 1}
+	post := []float64{0, 0}
+	msgs := []Message{{From: 0, To: 1, Bytes: 2}, {From: 0, To: 1, Bytes: 1}, {From: 1, To: 0, Bytes: 1}}
+	judge := func(i int, m Message, try int) Verdict {
+		return Verdict{Slow: 1, Delay: 1, Failed: (i == 0 && try == 0) || i == 2}
+	}
+	retry := Retry{Timeout: 4, Backoff: 2, Budget: 1}
+	cases := []struct {
+		mode Mode
+		want []Record
+	}{
+		// Bulk: m0 fails at 3, retransmits at 3+4+2 = 9, arrives 12; m1
+		// queues behind it; m2 fails at 2, retries at 8, gives up at 10.
+		{Bulk, []Record{{0, 12, 12, 1, false}, {12, 14, 14, 0, false}, {0, 10, 10, 1, true}}},
+		// Overlapped: the NIC holds only m/B, arrivals follow by L.
+		{Overlapped, []Record{{0, 11, 12, 1, false}, {11, 12, 13, 0, false}, {0, 9, 10, 1, true}}},
+	}
+	var d Delivery
+	for _, tc := range cases {
+		n.Transmit(&d, tc.mode, post, msgs, judge, retry)
+		for i, want := range tc.want {
+			if d.Records[i] != want {
+				t.Errorf("mode %d msg %d: record %+v, want %+v", tc.mode, i, d.Records[i], want)
+			}
+		}
+		wantF := []Failure{{3, 9}, {2, 8}}
+		if len(d.Failures) != len(wantF) || d.Failures[0] != wantF[0] || d.Failures[1] != wantF[1] {
+			t.Errorf("mode %d: failures %+v, want %+v", tc.mode, d.Failures, wantF)
+		}
+	}
+}
+
+// TestTransmitUnitVerdictIsClean: a judge that delivers every attempt with
+// factors 1 and 1 computes the clean records bit for bit, so a fault plan
+// that injects nothing leaves every clock unchanged.
+func TestTransmitUnitVerdictIsClean(t *testing.T) {
+	n := &Network{Latency: 1.3e-6, Bandwidth: 7e8, EagerThreshold: 3000}
+	unit := func(int, Message, int) Verdict { return Verdict{Slow: 1, Delay: 1} }
+	f := func(sizes []uint16, from []bool, p0, p1 float64) bool {
+		post := []float64{math.Abs(p0), math.Abs(p1)}
+		msgs := make([]Message, len(sizes))
+		for i, sz := range sizes {
+			if i < len(from) && from[i] {
+				msgs[i].From = 1
+			}
+			msgs[i].Bytes = int64(sz)
+		}
+		for _, mode := range []Mode{Bulk, Overlapped} {
+			var clean, judged Delivery
+			n.Transmit(&clean, mode, post, msgs, nil, Retry{})
+			n.Transmit(&judged, mode, post, msgs, unit, Retry{Timeout: 1, Backoff: 1, Budget: 3})
+			for i := range clean.Records {
+				if clean.Records[i] != judged.Records[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBackoffFactorSaturates: the naive 1<<try expression wraps negative at
+// try 63 (and is undefined beyond), which would subtract from virtual time
+// instead of backing off. The factor must stay positive, finite and
+// non-decreasing for every try a retry budget can reach.
+func TestBackoffFactorSaturates(t *testing.T) {
+	if f := backoffFactor(0); f != 1 {
+		t.Errorf("backoffFactor(0) = %g, want 1", f)
+	}
+	if f := backoffFactor(10); f != 1024 {
+		t.Errorf("backoffFactor(10) = %g, want 1024", f)
+	}
+	prev := 0.0
+	for try := 0; try <= 1<<12; try++ {
+		f := backoffFactor(try)
+		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			t.Fatalf("backoffFactor(%d) = %g, want positive finite", try, f)
+		}
+		if f < prev {
+			t.Fatalf("backoffFactor(%d) = %g < backoffFactor(%d) = %g", try, f, try-1, prev)
+		}
+		prev = f
+	}
+	if got, want := backoffFactor(63), backoffFactor(62); got != want {
+		t.Errorf("backoffFactor(63) = %g, want the try-62 saturation value %g", got, want)
+	}
+	// The exact boundary the old expression got wrong.
+	one := int64(1)
+	if old := float64(one << uint(63)); old >= 0 {
+		t.Fatalf("test premise broken: 1<<63 as int64 should be negative, got %g", old)
 	}
 }
